@@ -624,7 +624,7 @@ impl<S: StateMachine> Actor for RaftClient<S> {
                 }
                 let latency = ctx.now().since(first);
                 ctx.metrics()
-                    .observe("client.latency_us", latency.as_micros() as f64);
+                    .record("client.latency_us", latency.as_micros());
                 let now = ctx.now();
                 ctx.metrics().timeline_push("client.completes", now, 1.0);
                 if self.record_history {
@@ -769,9 +769,9 @@ impl<S: StateMachine> RaftAdmin<S> {
                 let started = self.step_started.take().expect("step was started");
                 let finished = ctx.now();
                 self.results.push((started, finished));
-                ctx.metrics().observe(
+                ctx.metrics().record(
                     "admin.reconfig_latency_us",
-                    finished.since(started).as_micros() as f64,
+                    finished.since(started).as_micros(),
                 );
                 self.step += 1;
                 self.pump(ctx);

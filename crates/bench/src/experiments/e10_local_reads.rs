@@ -40,7 +40,7 @@ pub fn run_rows(quick: bool) -> Vec<Row> {
             let mut sc = Scenario::new(0xE10).clients(6).until(horizon);
             sc.read_ratio = read_ratio;
             sc.local_reads = local;
-            let mut out = run_scenario(SystemKind::Rsmr, &sc);
+            let out = run_scenario(SystemKind::Rsmr, &sc);
             rows.push(Row {
                 read_ratio,
                 local,

@@ -82,7 +82,7 @@ pub fn scaling_rows(quick: bool) -> Vec<ScalingRow> {
             .map(|&g| {
                 s.spawn(move || {
                     let sc = scaling_scenario(g, quick);
-                    let mut out = run_sharded(ShardSystem::Rsmr, &sc);
+                    let out = run_sharded(ShardSystem::Rsmr, &sc);
                     ScalingRow {
                         groups: g,
                         tput: out.run.throughput(warmup, horizon),

@@ -118,7 +118,7 @@ pub fn run_sweep(quick: bool) -> (Vec<Row>, Vec<HistogramSummary>) {
     let rows = pts
         .iter()
         .map(|&(label, batching)| {
-            let mut out = outs.next().expect("one result per point");
+            let out = outs.next().expect("one result per point");
             let tput = out.throughput(measure_from, horizon);
             if batching.is_none() {
                 base_tput = tput;

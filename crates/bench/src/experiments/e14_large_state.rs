@@ -111,7 +111,7 @@ pub fn size_rows(quick: bool) -> Vec<SizeRow> {
     for &keys in sizes(quick) {
         for kind in [SystemKind::Rsmr, SystemKind::Stw] {
             let sc = size_scenario(keys);
-            let mut out = run_scenario(kind, &sc);
+            let out = run_scenario(kind, &sc);
             let handoff_gap = out
                 .spans
                 .as_ref()

@@ -57,7 +57,7 @@ pub fn run_table(quick: bool) -> Table {
     for &n in sizes {
         let mut static_tput = 0.0;
         for kind in systems {
-            let mut out = outs.next().expect("one result per job");
+            let out = outs.next().expect("one result per job");
             let tput = out.throughput(measure_from, horizon);
             if kind == SystemKind::Static {
                 static_tput = tput;
@@ -94,7 +94,7 @@ pub fn run_structured(quick: bool) -> ExpOutput {
          ~16-19% here: on an uncontended LAN with few closed-loop clients, \
          rounds are not the bottleneck, so the bounded window and batch \
          queueing only add latency — the knob pays off when the replication \
-         fabric is the constraint (E13 measures 44x at a 200 KB/s fabric \
+         fabric is the constraint (E13 measures 25x at a 200 KB/s fabric \
          cap). raft-lite is in the same band — reconfigurability costs \
          nothing while idle.\n\n",
     );

@@ -46,7 +46,7 @@ pub fn run_rows(quick: bool) -> Vec<Row> {
         if kind != SystemKind::Static {
             sc = sc.reconfigure_at(SimTime::from_millis(1_900), &[0, 1, 3]);
         }
-        let mut out = run_scenario(kind, &sc);
+        let out = run_scenario(kind, &sc);
         rows.push(Row {
             kind,
             quantiles: (

@@ -43,7 +43,7 @@ pub fn run_rows(quick: bool) -> Vec<Row> {
     run_many(jobs)
         .into_iter()
         .zip(cells)
-        .map(|(mut out, (kind, n))| Row {
+        .map(|(out, (kind, n))| Row {
             kind,
             n,
             tput: out.throughput(SimTime::from_secs(1), horizon),

@@ -42,7 +42,7 @@ pub fn run_rows(quick: bool) -> Vec<Row> {
                 .over_wan()
                 .reconfigure_at(RECONFIG_AT, &[0, 1, 3])
                 .until(horizon);
-            let mut out = run_scenario(kind, &sc);
+            let out = run_scenario(kind, &sc);
             Row {
                 kind,
                 p50_ms: out.latency_us(0.5) / 1000.0,

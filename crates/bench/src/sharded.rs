@@ -97,8 +97,6 @@ pub struct ShardScenario {
     pub faults: FaultPlan,
     /// The group the fault plan's role targets refer to.
     pub fault_group: u32,
-    /// Record the event trace (for determinism digests).
-    pub record_trace: bool,
     /// Install structured-event observers.
     pub record_events: bool,
 }
@@ -125,7 +123,6 @@ impl ShardScenario {
             scripts: Vec::new(),
             faults: FaultPlan::new(),
             fault_group: 0,
-            record_trace: false,
             record_events: false,
         }
     }
@@ -182,12 +179,6 @@ impl ShardScenario {
     /// Enables the structured-event observers, builder-style.
     pub fn with_events(mut self) -> Self {
         self.record_events = true;
-        self
-    }
-
-    /// Enables event tracing, builder-style.
-    pub fn with_trace(mut self) -> Self {
-        self.record_trace = true;
         self
     }
 
@@ -260,7 +251,6 @@ impl ShardScenario {
         sc.read_ratio = self.read_ratio;
         sc.value_size = self.value_size;
         sc.keyspace = self.keyspace;
-        sc.record_trace = self.record_trace;
         sc.record_events = self.record_events;
         sc
     }
@@ -335,9 +325,6 @@ fn admin_groups(sc: &ShardScenario) -> Vec<(GroupId, AdminScript)> {
 fn run_sharded_rsmr(sc: &ShardScenario) -> ShardRunOut {
     let tun = RsmrTunables::default();
     let mut sim: Sim<MultiGroup<World<KvStore>>> = Sim::new(sc.seed, sc.net());
-    if sc.record_trace {
-        sim.enable_trace();
-    }
     let probes = EventProbes::install(&mut sim, sc.record_events);
 
     // Server pool: every node hosts the groups whose genesis membership
@@ -474,7 +461,6 @@ fn run_sharded_rsmr(sc: &ShardScenario) -> ShardRunOut {
             admin,
             horizon: sc.horizon,
             histories: Vec::new(),
-            trace_digest: sim.trace().digest(),
             event_digest: probe.event_digest,
             event_count: probe.event_count,
             digest_prefixes: probe.digest_prefixes,
@@ -492,9 +478,6 @@ fn run_sharded_rsmr(sc: &ShardScenario) -> ShardRunOut {
 fn run_sharded_stw(sc: &ShardScenario) -> ShardRunOut {
     let tun = StwTunables::default();
     let mut sim: Sim<MultiGroup<StwWorld<KvStore>>> = Sim::new(sc.seed, sc.net());
-    if sc.record_trace {
-        sim.enable_trace();
-    }
     let probes = EventProbes::install(&mut sim, sc.record_events);
 
     let server_factory = |node: NodeId, tun: StwTunables| {
@@ -601,7 +584,6 @@ fn run_sharded_stw(sc: &ShardScenario) -> ShardRunOut {
             admin,
             horizon: sc.horizon,
             histories: Vec::new(),
-            trace_digest: sim.trace().digest(),
             event_digest: probe.event_digest,
             event_count: probe.event_count,
             digest_prefixes: probe.digest_prefixes,
@@ -623,7 +605,7 @@ pub struct MergedOut {
     /// Completions per group, indexed by group id.
     pub per_group_completed: Vec<u64>,
     /// FNV-1a fold of every group's `(completed, metrics fingerprint,
-    /// trace digest, event digest, event count)` in group order — the
+    /// event digest, event count)` in group order — the
     /// byte-identity witness between serial and parallel execution.
     pub digest: u64,
 }
@@ -662,7 +644,6 @@ pub fn run_split(sc: &ShardScenario, parallel: bool) -> MergedOut {
         per_group_completed.push(out.completed);
         fold(&mut digest, out.completed);
         fold(&mut digest, out.metrics_fingerprint());
-        fold(&mut digest, out.trace_digest);
         fold(&mut digest, out.event_digest);
         fold(&mut digest, out.event_count);
     }

@@ -4,8 +4,9 @@
 //! table, `'static` metric keys, the parallel experiment driver) is only
 //! admissible because it provably does not change simulation outcomes. These
 //! tests pin that down: a scenario is a pure function of its seed, so two
-//! runs must agree *bit for bit* — same metrics fingerprint, same event
-//! trace digest — whether they execute serially or on worker threads.
+//! runs must agree *bit for bit* — same metrics fingerprint, same
+//! structured-event digest and count — whether they execute serially or on
+//! worker threads.
 
 use bench::runner::{run, run_many, Scenario, SystemKind};
 use bench::sharded::{run_sharded, run_split, ShardScenario, ShardSystem};
@@ -15,15 +16,13 @@ use simnet::{ChaosGen, FaultPlan, FaultTarget, SimDuration, SimTime};
 /// steady-state commits, a reconfiguration with a joiner, and client
 /// histories.
 fn scenario() -> Scenario {
-    let mut sc = Scenario::new(0xD37E_2817)
+    Scenario::new(0xD37E_2817)
         .servers(5)
         .clients(4)
         .joiners(&[5])
         .reconfigure_at(SimTime::from_secs(1), &[0, 1, 2, 3, 5])
         .until(SimTime::from_secs(2))
-        .with_events();
-    sc.record_trace = true;
-    sc
+        .with_events()
 }
 
 /// Systems covered by the determinism check (all of them).
@@ -37,23 +36,16 @@ const SYSTEMS: [SystemKind; 6] = [
 ];
 
 #[test]
-fn same_seed_same_fingerprint_and_trace() {
+fn same_seed_same_fingerprint_and_events() {
     for kind in SYSTEMS {
         let sc = scenario();
         let a = run(kind, &sc);
         let b = run(kind, &sc);
         assert!(a.completed > 0, "{}: no completed ops", kind.name());
-        assert_ne!(a.trace_digest, 0, "{}: trace not recorded", kind.name());
         assert_eq!(
             a.metrics_fingerprint(),
             b.metrics_fingerprint(),
             "{}: metrics diverge across same-seed runs",
-            kind.name()
-        );
-        assert_eq!(
-            a.trace_digest,
-            b.trace_digest,
-            "{}: event traces diverge across same-seed runs",
             kind.name()
         );
         assert!(
@@ -84,14 +76,8 @@ fn parallel_driver_matches_serial_runs() {
             kind.name()
         );
         assert_eq!(
-            s.trace_digest,
-            p.trace_digest,
-            "{}: parallel driver changed the event order",
-            kind.name()
-        );
-        assert_eq!(
-            s.event_digest,
-            p.event_digest,
+            (s.event_digest, s.event_count),
+            (p.event_digest, p.event_count),
             "{}: parallel driver changed the structured event stream",
             kind.name()
         );
@@ -116,9 +102,7 @@ fn parallel_driver_matches_serial_runs() {
 fn chaos_scenario() -> Scenario {
     let plan =
         ChaosGen::new(0xFA17).sample(SimTime::from_millis(300), SimTime::from_millis(1_500), 3);
-    let mut sc = scenario().with_faults(plan).checked();
-    sc.record_trace = true;
-    sc
+    scenario().with_faults(plan).checked()
 }
 
 #[test]
@@ -181,7 +165,6 @@ fn transfer_scenario() -> Scenario {
         .until(SimTime::from_secs(10))
         .with_events();
     sc.ops_per_client = Some(100);
-    sc.record_trace = true;
     sc
 }
 
@@ -227,8 +210,8 @@ fn chunked_and_delta_transfers_are_deterministic_serial_and_parallel() {
             kind.name()
         );
         assert_eq!(
-            (s.trace_digest, s.event_digest, s.event_count),
-            (p.trace_digest, p.event_digest, p.event_count),
+            (s.event_digest, s.event_count),
+            (p.event_digest, p.event_count),
             "{}: transfer event streams diverge between serial and parallel runs",
             kind.name()
         );
@@ -262,14 +245,13 @@ fn jsonl_artifacts_are_byte_identical_across_runs() {
 
 /// A coupled sharded scenario exercising the multi-group hot paths:
 /// two epoch chains on the shared pool, capped egress, a rolling
-/// reconfiguration of every shard, traces and structured events on.
+/// reconfiguration of every shard, structured events on.
 fn sharded_scenario() -> ShardScenario {
     ShardScenario::new(0x5AADD37, 2)
         .until(SimTime::from_secs(3))
         .bandwidth(150_000)
         .rolling(SimTime::from_secs(1), SimDuration::from_millis(400))
         .with_events()
-        .with_trace()
 }
 
 #[test]
@@ -279,7 +261,11 @@ fn sharded_coupled_runs_are_deterministic() {
         let a = run_sharded(kind, &sc);
         let b = run_sharded(kind, &sc);
         assert!(a.run.completed > 0, "{}: no completed ops", kind.name());
-        assert_ne!(a.run.trace_digest, 0, "{}: trace not recorded", kind.name());
+        assert!(
+            a.run.event_count > 0,
+            "{}: no structured events recorded",
+            kind.name()
+        );
         assert_eq!(
             a.run.metrics_fingerprint(),
             b.run.metrics_fingerprint(),
@@ -287,8 +273,8 @@ fn sharded_coupled_runs_are_deterministic() {
             kind.name()
         );
         assert_eq!(
-            (a.run.trace_digest, a.run.event_digest, a.run.event_count),
-            (b.run.trace_digest, b.run.event_digest, b.run.event_count),
+            (a.run.event_digest, a.run.event_count),
+            (b.run.event_digest, b.run.event_count),
             "{}: sharded event streams diverge across same-seed runs",
             kind.name()
         );
@@ -305,8 +291,8 @@ fn sharded_coupled_runs_are_deterministic() {
 #[test]
 fn sharded_split_driver_matches_serial_execution() {
     // Group independence is what licenses the parallel split driver; the
-    // merged digest folds per-group metrics fingerprints, trace digests
-    // and structured-event digests, so any cross-thread nondeterminism
+    // merged digest folds per-group metrics fingerprints and
+    // structured-event digests, so any cross-thread nondeterminism
     // would surface here.
     let sc = ShardScenario::new(0x5AAD5911, 4).until(SimTime::from_secs(2));
     let serial = run_split(&sc, false);
@@ -344,8 +330,8 @@ fn different_seeds_actually_differ() {
     sc.seed ^= 0x5EED;
     let b = run(SystemKind::Rsmr, &sc);
     assert!(
-        a.metrics_fingerprint() != b.metrics_fingerprint() || a.trace_digest != b.trace_digest,
-        "different seeds produced identical fingerprints and traces"
+        a.metrics_fingerprint() != b.metrics_fingerprint() || a.event_digest != b.event_digest,
+        "different seeds produced identical fingerprints and event digests"
     );
 }
 

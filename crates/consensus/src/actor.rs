@@ -340,7 +340,7 @@ impl<C: Command> Actor for SmrClient<C> {
                 }
                 let latency = ctx.now().since(first_sent);
                 ctx.metrics()
-                    .observe("client.latency_us", latency.as_micros() as f64);
+                    .record("client.latency_us", latency.as_micros());
                 let now = ctx.now();
                 ctx.metrics().timeline_push("client.completes", now, 1.0);
                 self.inflight = None;
@@ -506,7 +506,7 @@ mod tests {
             assert_eq!(sim.actor(c).unwrap().completed(), 20);
         }
         assert!(sim.metrics().counter("smr.committed") >= 40);
-        let lat = sim.metrics().histogram("client.latency_us").unwrap();
+        let lat = sim.metrics().record_histogram("client.latency_us").unwrap();
         assert!(lat.count() >= 40);
         assert!(lat.mean() > 0.0);
     }

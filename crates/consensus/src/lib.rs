@@ -12,17 +12,12 @@
 //! persist). The [`actor`] module adapts it to the `simnet` actor world and
 //! adds a minimal client for standalone deployments; `rsmr-core` embeds the
 //! same core, one instance per configuration epoch.
-//!
-//! A self-contained single-decree synod implementation
-//! ([`single_decree`]) is included as the object of the crate's agreement
-//! property tests.
 
 pub mod actor;
 mod config;
 mod effects;
 mod msg;
 mod multipaxos;
-pub mod single_decree;
 mod types;
 
 pub use config::StaticConfig;

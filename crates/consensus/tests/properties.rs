@@ -1,9 +1,6 @@
-//! Property-style tests for the consensus building block.
-//!
-//! * Single-decree synod: agreement and validity hold under arbitrary
-//!   message schedules, drops and duplications.
-//! * Multi-Paxos: replicas never disagree on a chosen slot, across random
-//!   fault schedules (crashes with recovery, lossy links).
+//! Property-style tests for the consensus building block: Multi-Paxos
+//! replicas never disagree on a chosen slot, across random fault schedules
+//! (crashes with recovery, lossy links).
 //!
 //! Schedules are generated from a seeded [`SimRng`]; every failure is
 //! reproducible from the fixed seed.
@@ -11,174 +8,8 @@
 use std::collections::BTreeMap;
 
 use consensus::actor::{ReplicaActor, SmrClient, SmrMsg, TaggedCmd};
-use consensus::single_decree::{Acceptor, Proposer, SynodMsg};
-use consensus::{Ballot, MultiPaxos, PaxosTunables, StaticConfig};
+use consensus::{MultiPaxos, PaxosTunables, StaticConfig};
 use simnet::{Actor, Context, NetConfig, NodeId, Sim, SimDuration, SimRng, Timer};
-
-// ---------------------------------------------------------------------------
-// Single-decree synod under adversarial schedules
-// ---------------------------------------------------------------------------
-
-/// A randomly chosen network step.
-#[derive(Clone, Debug)]
-enum Step {
-    /// Deliver the i-th queued message (modulo queue length).
-    Deliver(usize),
-    /// Drop the i-th queued message.
-    Drop(usize),
-    /// Duplicate the i-th queued message.
-    Duplicate(usize),
-    /// Proposer `p` (mod #proposers) starts a new round.
-    Restart(usize),
-}
-
-fn random_step(gen: &mut SimRng) -> Step {
-    // Deliveries weighted 4:1 against each fault kind, as in the original
-    // proptest strategy.
-    match gen.gen_range(0u32..7) {
-        0..=3 => Step::Deliver(gen.gen_range(0usize..64)),
-        4 => Step::Drop(gen.gen_range(0usize..64)),
-        5 => Step::Duplicate(gen.gen_range(0usize..64)),
-        _ => Step::Restart(gen.gen_range(0usize..8)),
-    }
-}
-
-/// One in-flight synod message: (to_acceptor?, proposer, acceptor, msg).
-#[derive(Clone, Debug)]
-struct InFlight {
-    proposer: usize,
-    acceptor: usize,
-    to_acceptor: bool,
-    msg: SynodMsg<u32>,
-}
-
-/// Agreement & validity: no matter the schedule, all decided values are
-/// equal, and are one of the initially proposed values.
-#[test]
-fn synod_agreement_under_arbitrary_schedules() {
-    let mut gen = SimRng::seed_from_u64(0x5151);
-    for case in 0..256 {
-        let steps: Vec<Step> = {
-            let n = gen.gen_range(1usize..200);
-            (0..n).map(|_| random_step(&mut gen)).collect()
-        };
-        let n_acceptors = gen.gen_range(1usize..=5);
-        let n_proposers = gen.gen_range(1usize..=3);
-
-        let mut acceptors: Vec<Acceptor<u32>> = (0..n_acceptors).map(|_| Acceptor::new()).collect();
-        let proposed: Vec<u32> = (0..n_proposers as u32).map(|i| 100 + i).collect();
-        let mut proposers: Vec<Proposer<u32>> = proposed
-            .iter()
-            .enumerate()
-            .map(|(i, &v)| Proposer::new(NodeId(i as u64), n_acceptors, v))
-            .collect();
-        let mut queue: Vec<InFlight> = Vec::new();
-        let mut decided: Vec<u32> = Vec::new();
-
-        // Everyone starts a first round.
-        for (p, prop) in proposers.iter_mut().enumerate() {
-            let msg = prop.start_round(Ballot::ZERO);
-            for a in 0..n_acceptors {
-                queue.push(InFlight {
-                    proposer: p,
-                    acceptor: a,
-                    to_acceptor: true,
-                    msg: msg.clone(),
-                });
-            }
-        }
-
-        for step in steps {
-            match step {
-                Step::Drop(i) => {
-                    if !queue.is_empty() {
-                        queue.remove(i % queue.len());
-                    }
-                }
-                Step::Duplicate(i) => {
-                    if !queue.is_empty() {
-                        let m = queue[i % queue.len()].clone();
-                        queue.push(m);
-                    }
-                }
-                Step::Restart(p) => {
-                    let p = p % n_proposers;
-                    let above = proposers[p].ballot();
-                    let msg = proposers[p].start_round(above);
-                    for a in 0..n_acceptors {
-                        queue.push(InFlight {
-                            proposer: p,
-                            acceptor: a,
-                            to_acceptor: true,
-                            msg: msg.clone(),
-                        });
-                    }
-                }
-                Step::Deliver(i) => {
-                    if queue.is_empty() {
-                        continue;
-                    }
-                    let m = queue.remove(i % queue.len());
-                    if m.to_acceptor {
-                        let reply = match m.msg {
-                            SynodMsg::Prepare(b) => Some(acceptors[m.acceptor].on_prepare(b)),
-                            SynodMsg::Accept(b, v) => Some(acceptors[m.acceptor].on_accept(b, v)),
-                            _ => None,
-                        };
-                        if let Some(reply) = reply {
-                            queue.push(InFlight {
-                                proposer: m.proposer,
-                                acceptor: m.acceptor,
-                                to_acceptor: false,
-                                msg: reply,
-                            });
-                        }
-                    } else {
-                        let p = &mut proposers[m.proposer];
-                        let from = NodeId(m.acceptor as u64);
-                        match m.msg {
-                            SynodMsg::Promise(b, prev) => {
-                                if let Some(accept) = p.on_promise(from, b, prev) {
-                                    for a in 0..n_acceptors {
-                                        queue.push(InFlight {
-                                            proposer: m.proposer,
-                                            acceptor: a,
-                                            to_acceptor: true,
-                                            msg: accept.clone(),
-                                        });
-                                    }
-                                }
-                            }
-                            SynodMsg::Accepted(b) => {
-                                if let Some(v) = p.on_accepted(from, b) {
-                                    decided.push(v);
-                                }
-                            }
-                            SynodMsg::Nack(promised) => {
-                                let _ = p.on_nack(promised);
-                            }
-                            _ => {}
-                        }
-                    }
-                }
-            }
-        }
-
-        // Validity: every decision is a proposed value.
-        for d in &decided {
-            assert!(
-                proposed.contains(d),
-                "case {case}: decided {d} was never proposed"
-            );
-        }
-        // Agreement: all decisions are equal.
-        if let Some(first) = decided.first() {
-            for d in &decided {
-                assert_eq!(d, first, "case {case}: two different values decided");
-            }
-        }
-    }
-}
 
 // ---------------------------------------------------------------------------
 // Multi-Paxos log safety under faults, via simnet

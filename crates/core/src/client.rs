@@ -207,7 +207,7 @@ impl<S: StateMachine> Actor for RsmrClient<S> {
                 }
                 let latency = ctx.now().since(inflight.first_sent_at);
                 ctx.metrics()
-                    .observe("client.latency_us", latency.as_micros() as f64);
+                    .record("client.latency_us", latency.as_micros());
                 let now = ctx.now();
                 ctx.metrics().timeline_push("client.completes", now, 1.0);
                 if let Some(key) = self.completes_key {
@@ -469,9 +469,9 @@ impl<S: StateMachine> Actor for AdminActor<S> {
             if ok {
                 let finished = ctx.now();
                 self.results.push((started, finished, epoch));
-                ctx.metrics().observe(
+                ctx.metrics().record(
                     "admin.reconfig_latency_us",
-                    finished.since(started).as_micros() as f64,
+                    finished.since(started).as_micros(),
                 );
                 // The member set changed: refresh our server list.
                 if let Some((_, members)) = self.script.get(idx) {

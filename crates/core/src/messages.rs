@@ -72,18 +72,13 @@ pub enum RsmrMsg<O, R> {
         /// Its member set.
         members: Vec<NodeId>,
     },
-    /// Joining member → finalized member: send me the base state anchoring
-    /// `epoch`.
-    TransferRequest {
-        /// The epoch whose base is requested.
-        epoch: Epoch,
-    },
-    /// Response to [`RsmrMsg::TransferRequest`]. `base` is `None` when the
-    /// responder has not finalized the predecessor epoch yet (retry later).
+    /// Stop-the-world baseline only: the sealed base state anchoring
+    /// `epoch`, pushed whole to a joining member. The composed replica
+    /// pulls bases in chunks instead (see [`RsmrMsg::ManifestRequest`]).
     TransferReply {
-        /// Echo of the requested epoch.
+        /// The epoch the base anchors.
         epoch: Epoch,
-        /// The encoded [`crate::BaseState`], if available.
+        /// The encoded [`crate::BaseState`].
         base: Option<Vec<u8>>,
     },
     /// Acknowledges an installed base state. Unused by the speculative
@@ -154,7 +149,6 @@ where
             RsmrMsg::Reconfigure { .. } => "rsmr.reconfigure",
             RsmrMsg::ReconfigureReply { .. } => "rsmr.reconfigure_reply",
             RsmrMsg::Activate { .. } => "rsmr.activate",
-            RsmrMsg::TransferRequest { .. } => "rsmr.transfer_req",
             RsmrMsg::TransferReply { .. } => "rsmr.transfer_reply",
             RsmrMsg::TransferAck { .. } => "rsmr.transfer_ack",
             RsmrMsg::Nominate { .. } => "rsmr.nominate",
@@ -174,7 +168,6 @@ where
             RsmrMsg::Reconfigure { members } => 16 + members.len() * 8,
             RsmrMsg::ReconfigureReply { .. } => 32,
             RsmrMsg::Activate { members, .. } => 16 + members.len() * 8,
-            RsmrMsg::TransferRequest { .. } => 16,
             RsmrMsg::TransferReply { base, .. } => 16 + base.as_ref().map(Vec::len).unwrap_or(0),
             RsmrMsg::TransferAck { .. } => 16,
             RsmrMsg::Nominate { .. } => 16,
@@ -241,10 +234,6 @@ impl<O: Wire, R: Wire> Wire for RsmrMsg<O, R> {
                 buf.push(6);
                 epoch.encode(buf);
                 members.encode(buf);
-            }
-            RsmrMsg::TransferRequest { epoch } => {
-                buf.push(7);
-                epoch.encode(buf);
             }
             RsmrMsg::TransferReply { epoch, base } => {
                 buf.push(8);
@@ -319,9 +308,6 @@ impl<O: Wire, R: Wire> Wire for RsmrMsg<O, R> {
                 epoch: Epoch::decode(buf)?,
                 members: Vec::decode(buf)?,
             },
-            7 => RsmrMsg::TransferRequest {
-                epoch: Epoch::decode(buf)?,
-            },
             8 => RsmrMsg::TransferReply {
                 epoch: Epoch::decode(buf)?,
                 base: Option::decode(buf)?,
@@ -387,7 +373,6 @@ mod tests {
                 epoch: Epoch(1),
                 members: vec![],
             },
-            RsmrMsg::TransferRequest { epoch: Epoch(1) },
             RsmrMsg::TransferReply {
                 epoch: Epoch(1),
                 base: None,
@@ -458,7 +443,6 @@ mod tests {
                 epoch: Epoch(6),
                 members: vec![NodeId(4)],
             },
-            RsmrMsg::TransferRequest { epoch: Epoch(6) },
             RsmrMsg::TransferReply {
                 epoch: Epoch(6),
                 base: Some(vec![1, 2, 3]),

@@ -153,8 +153,6 @@ struct CachedPage {
     bytes: Arc<Vec<u8>>,
 }
 
-/// Legacy monolithic base key; still read as a recovery fallback.
-const KEY_BASE: &str = "base/latest";
 /// Per-page persistence: `(epoch, page count, header)` metadata…
 const KEY_BASE_META: &str = "base/meta";
 /// …plus one key per snapshot page; only dirty pages are re-put.
@@ -498,18 +496,15 @@ impl<S: StateMachine> RsmrNode<S> {
 
     // --- Internals --------------------------------------------------------
 
-    /// Reads the persisted base state: per-page keys first, falling back
-    /// to the legacy monolithic blob.
+    /// Reads the persisted base state from its per-page keys.
     fn read_persisted_base(store: &StableStore) -> Option<BaseState<S::Output>> {
-        if let Some(meta) = store.get(KEY_BASE_META) {
-            let (epoch, count, header) = wire::from_bytes::<(Epoch, u64, Vec<u8>)>(meta)?;
-            let mut pages = Vec::with_capacity(count as usize);
-            for i in 0..count as usize {
-                pages.push(Arc::new(store.get(&page_key(i))?.to_vec()));
-            }
-            return BaseState::from_parts(epoch, pages, &header);
+        let meta = store.get(KEY_BASE_META)?;
+        let (epoch, count, header) = wire::from_bytes::<(Epoch, u64, Vec<u8>)>(meta)?;
+        let mut pages = Vec::with_capacity(count as usize);
+        for i in 0..count as usize {
+            pages.push(Arc::new(store.get(&page_key(i))?.to_vec()));
         }
-        BaseState::decode_bytes(store.get(KEY_BASE)?)
+        BaseState::from_parts(epoch, pages, &header)
     }
 
     /// Captures the base state anchoring `epoch`, reusing cached page
@@ -821,7 +816,6 @@ impl<S: StateMachine> RsmrNode<S> {
             epoch: epoch.0,
             seal_slot: slot.0,
         });
-        ctx.trace(|| format!("closed {epoch} at {slot}"));
         // Finalization (and successor creation) happens in the pump's next
         // iteration, via the `closed` marker.
     }
@@ -1024,7 +1018,6 @@ impl<S: StateMachine> RsmrNode<S> {
         ctx.metrics()
             .timeline_push("rsmr.epoch_finalized", now, successor.0 as f64);
         ctx.emit_event(DomainEvent::Anchored { epoch: successor.0 });
-        ctx.trace(|| format!("finalized {epoch}; anchored at {successor}"));
     }
 
     fn ensure_instance(
@@ -1415,66 +1408,6 @@ impl<S: StateMachine> RsmrNode<S> {
         ctx.send(provider, RsmrMsg::ManifestRequest { epoch, since });
     }
 
-    /// Donor side, legacy path: serve the whole base as one blob. The
-    /// composed replica no longer *requests* monolithic transfers, but
-    /// keeps serving them (the stop-the-world control and older peers
-    /// depend on the message shape).
-    fn handle_transfer_request(
-        &mut self,
-        ctx: &mut Context<'_, RsmrMsg<S::Op, S::Output>>,
-        from: NodeId,
-        epoch: Epoch,
-    ) {
-        let base = self.bases.get(&epoch).map(|b| b.encode_bytes());
-        if let Some(bytes) = base.as_ref() {
-            ctx.metrics().incr("rsmr.transfers_served", 1);
-            ctx.metrics()
-                .incr("rsmr.transfer_bytes", bytes.len() as u64);
-            ctx.emit_event(DomainEvent::TransferServed {
-                epoch: epoch.0,
-                to: from,
-                bytes: bytes.len() as u64,
-            });
-        }
-        ctx.send(from, RsmrMsg::TransferReply { epoch, base });
-    }
-
-    /// Legacy joiner path kept for robustness: a monolithic reply (e.g.
-    /// from an old donor) still installs.
-    fn handle_transfer_reply(
-        &mut self,
-        ctx: &mut Context<'_, RsmrMsg<S::Op, S::Output>>,
-        epoch: Epoch,
-        base: Option<Vec<u8>>,
-    ) {
-        let Some(pt) = &self.pending_transfer else {
-            return;
-        };
-        if pt.epoch != epoch {
-            return;
-        }
-        let Some(bytes) = base else {
-            return; // provider not ready; the tick timer will retry
-        };
-        let Some(base) = BaseState::<S::Output>::decode_bytes(&bytes) else {
-            ctx.metrics().incr("rsmr.transfer_decode_failures", 1);
-            return;
-        };
-        let Some(sm) = S::restore_pages(&base.pages) else {
-            ctx.metrics().incr("rsmr.transfer_decode_failures", 1);
-            return;
-        };
-        // Never regress the anchor.
-        if let Some(anchor) = self.anchor {
-            if anchor.epoch >= epoch {
-                self.pending_transfer = None;
-                return;
-            }
-        }
-        self.sm = sm;
-        self.install_base(ctx, base);
-    }
-
     /// Donor side: build (or reuse) the transfer plan for `from` and
     /// reply with its manifest.
     fn handle_manifest_request(
@@ -1843,7 +1776,6 @@ impl<S: StateMachine> RsmrNode<S> {
         ctx.metrics()
             .timeline_push("rsmr.anchored", now, epoch.0 as f64);
         ctx.emit_event(DomainEvent::Anchored { epoch: epoch.0 });
-        ctx.trace(|| format!("installed base for {epoch}"));
         self.pump_apply(ctx);
     }
 
@@ -1961,7 +1893,6 @@ impl<S: StateMachine> RsmrNode<S> {
                 .unwrap_or_default();
             if let Some(&first) = senders.first() {
                 ctx.metrics().incr("rsmr.stash_aged_transfers", 1);
-                ctx.trace(|| format!("stash for {epoch} aged; pulling base from {first}"));
                 self.request_transfer(ctx, epoch, first, &senders);
             }
         }
@@ -2067,7 +1998,7 @@ impl<S: StateMachine> Actor for RsmrNode<S> {
     fn on_start(&mut self, ctx: &mut Context<'_, Self::Msg>) {
         // Persist the genesis base so crash recovery always has one.
         if let Some(anchor) = self.anchor {
-            if ctx.storage().get(KEY_BASE_META).is_none() && ctx.storage().get(KEY_BASE).is_none() {
+            if ctx.storage().get(KEY_BASE_META).is_none() {
                 if let Some(base) = self.bases.get(&anchor.epoch).cloned() {
                     self.persist_base(ctx, &base);
                 }
@@ -2127,8 +2058,6 @@ impl<S: StateMachine> Actor for RsmrNode<S> {
             RsmrMsg::Request { seq, op } => self.handle_request(ctx, from, seq, op),
             RsmrMsg::Reconfigure { members } => self.handle_reconfigure(ctx, from, members),
             RsmrMsg::Activate { epoch, members } => self.handle_activate(ctx, from, epoch, members),
-            RsmrMsg::TransferRequest { epoch } => self.handle_transfer_request(ctx, from, epoch),
-            RsmrMsg::TransferReply { epoch, base } => self.handle_transfer_reply(ctx, epoch, base),
             RsmrMsg::ManifestRequest { epoch, since } => {
                 self.handle_manifest_request(ctx, from, epoch, since)
             }
@@ -2158,9 +2087,10 @@ impl<S: StateMachine> Actor for RsmrNode<S> {
             RsmrMsg::Reply { .. }
             | RsmrMsg::Redirect { .. }
             | RsmrMsg::ReconfigureReply { .. }
+            | RsmrMsg::TransferReply { .. }
             | RsmrMsg::TransferAck { .. } => {
-                // Client/admin-bound traffic (or baseline-only messages)
-                // mis-delivered to a replica.
+                // Client/admin-bound traffic (or the stop-the-world
+                // baseline's push messages) mis-delivered to a replica.
             }
         }
     }

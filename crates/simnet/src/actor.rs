@@ -84,7 +84,6 @@ pub struct Context<'a, M> {
     pub(crate) key_prefix: &'a str,
     pub(crate) metrics: &'a mut Metrics,
     pub(crate) next_timer_id: &'a mut u64,
-    pub(crate) trace: &'a mut crate::trace::Trace,
     pub(crate) bus: &'a mut EventBus,
 }
 
@@ -167,14 +166,6 @@ impl<'a, M: Message> Context<'a, M> {
     /// The global metrics sink.
     pub fn metrics(&mut self) -> &mut Metrics {
         self.metrics
-    }
-
-    /// Records a line in the bounded simulation trace (no-op unless tracing
-    /// is enabled on the [`crate::Sim`]).
-    pub fn trace(&mut self, line: impl FnOnce() -> String) {
-        let node = self.node;
-        let now = self.now;
-        self.trace.record(now, node, line);
     }
 
     /// Emits a typed protocol event into the simulation's event stream.

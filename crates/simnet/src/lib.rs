@@ -14,10 +14,9 @@
 //!   [`StableStore`] that survives restarts (simulated stable storage), and
 //!   declarative seeded fault schedules ([`FaultPlan`], [`ChaosGen`],
 //!   [`ChaosDriver`]) for replayable chaos runs;
-//! * **observability**: counters, histograms and timelines ([`Metrics`]), a
-//!   bounded textual [`Trace`], and a typed event stream ([`SimEvent`],
-//!   [`observe::Observer`]) covering transport actions and protocol-emitted
-//!   [`DomainEvent`]s.
+//! * **observability**: counters, histograms and timelines ([`Metrics`]), and
+//!   a typed event stream ([`SimEvent`], [`observe::Observer`]) covering
+//!   transport actions and protocol-emitted [`DomainEvent`]s.
 //!
 //! Everything is single-threaded and seeded, so a run is a pure function of
 //! `(actors, seed, script)` — property tests and experiments are exactly
@@ -74,7 +73,6 @@ mod sim;
 mod storage;
 pub mod telemetry;
 mod time;
-mod trace;
 pub mod transport;
 pub mod wire;
 
@@ -84,7 +82,7 @@ pub use chaos::{
     link_delay_permutation, mutate_plan, ChaosDriver, ChaosGen, CoverageMap, DiskFault, FaultEvent,
     FaultKind, FaultPlan, FaultTarget, LifecycleCoverage, PlanLineage,
 };
-pub use metrics::{Histogram, HistogramSummary, Metrics, MetricsSnapshot, Timeline};
+pub use metrics::{HistogramSummary, Metrics, MetricsSnapshot, Timeline};
 pub use net::{LatencyModel, NetConfig};
 pub use observe::{DomainEvent, DropReason, EventDigest, EventLog, Observer, SimEvent, Spans};
 pub use rng::SimRng;
@@ -96,7 +94,6 @@ pub use telemetry::{
     render_prometheus, Counter, Export, Gauge, HistogramHandle, LogHistogram, Registry,
 };
 pub use time::{SimDuration, SimTime};
-pub use trace::Trace;
 pub use transport::{
     ChannelHub, ChannelTransport, Clock, FaultyStorage, FaultyTransport, FileStorage, FrameBuffer,
     FrameError, ManualClock, MemStorage, NullTransport, StorageBackend, TcpConfig, TcpTransport,

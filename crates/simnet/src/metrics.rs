@@ -5,85 +5,6 @@ use std::collections::BTreeMap;
 use crate::telemetry::{Export, LogHistogram};
 use crate::time::SimTime;
 
-/// A raw-sample histogram with quantile queries.
-///
-/// Samples are stored verbatim (simulation scale makes this cheap) and
-/// sorted lazily on query.
-///
-/// ```
-/// use simnet::Histogram;
-/// let mut h = Histogram::default();
-/// for v in 0..=100 { h.observe(v as f64); }
-/// assert_eq!(h.quantile(0.5), 50.0);
-/// assert_eq!(h.max(), 100.0);
-/// ```
-#[derive(Clone, Debug, Default)]
-pub struct Histogram {
-    samples: Vec<f64>,
-    sorted: bool,
-}
-
-impl Histogram {
-    /// Records one sample.
-    pub fn observe(&mut self, value: f64) {
-        self.samples.push(value);
-        self.sorted = false;
-    }
-
-    /// Number of samples recorded.
-    pub fn count(&self) -> usize {
-        self.samples.len()
-    }
-
-    /// Arithmetic mean, or 0 when empty.
-    pub fn mean(&self) -> f64 {
-        if self.samples.is_empty() {
-            return 0.0;
-        }
-        self.samples.iter().sum::<f64>() / self.samples.len() as f64
-    }
-
-    /// Smallest sample, or 0 when empty.
-    pub fn min(&self) -> f64 {
-        if self.samples.is_empty() {
-            return 0.0;
-        }
-        self.samples.iter().copied().fold(f64::INFINITY, f64::min)
-    }
-
-    /// Largest sample, or 0 when empty.
-    pub fn max(&self) -> f64 {
-        if self.samples.is_empty() {
-            return 0.0;
-        }
-        self.samples
-            .iter()
-            .copied()
-            .fold(f64::NEG_INFINITY, f64::max)
-    }
-
-    /// The `q`-quantile (`0 ≤ q ≤ 1`) using nearest-rank interpolation, or 0
-    /// when empty.
-    pub fn quantile(&mut self, q: f64) -> f64 {
-        if self.samples.is_empty() {
-            return 0.0;
-        }
-        if !self.sorted {
-            self.samples
-                .sort_by(|a, b| a.partial_cmp(b).expect("histogram samples must not be NaN"));
-            self.sorted = true;
-        }
-        let q = q.clamp(0.0, 1.0);
-        let idx = ((self.samples.len() as f64 - 1.0) * q).round() as usize;
-        self.samples[idx]
-    }
-
-    /// The raw samples, unsorted.
-    pub fn samples(&self) -> &[f64] {
-        &self.samples
-    }
-}
-
 /// A time-stamped series of values (e.g. commits per bin during a run).
 #[derive(Clone, Debug, Default)]
 pub struct Timeline {
@@ -177,12 +98,11 @@ pub struct Metrics {
     /// allocation-free fast path for the per-message accounting.
     labels: BTreeMap<&'static str, u64>,
     pub(crate) net: NetCounters,
-    histograms: BTreeMap<&'static str, Histogram>,
     timelines: BTreeMap<&'static str, Timeline>,
     /// Integer-sample log-scale histograms (see [`LogHistogram`]): the
-    /// shared representation for hot-path latency/size recording, used
-    /// by both the simulator and the real backend.
-    records: BTreeMap<&'static str, LogHistogram>,
+    /// one histogram representation, used for every latency and size by
+    /// both the simulator and the real backend.
+    histograms: BTreeMap<&'static str, LogHistogram>,
 }
 
 impl Metrics {
@@ -294,37 +214,21 @@ impl Metrics {
         out
     }
 
-    /// Records a sample in the named histogram.
-    pub fn observe(&mut self, name: &'static str, value: f64) {
-        self.histograms.entry(name).or_default().observe(value);
-    }
-
-    /// The named histogram, if any samples were recorded.
-    pub fn histogram(&self, name: &str) -> Option<&Histogram> {
-        self.histograms.get(name)
-    }
-
-    /// Mutable access (needed for quantile queries, which sort lazily).
-    pub fn histogram_mut(&mut self, name: &str) -> Option<&mut Histogram> {
-        self.histograms.get_mut(name)
-    }
-
-    /// Records an integer sample in the named [`LogHistogram`] — the
-    /// fixed-bucket path for hot-path latencies and sizes. Unlike
-    /// [`Metrics::observe`], memory stays bounded regardless of sample
-    /// count, and recording never allocates after the first sample.
+    /// Records an integer sample in the named [`LogHistogram`]. Memory
+    /// stays bounded regardless of sample count, and recording never
+    /// allocates after the first sample.
     pub fn record(&mut self, name: &'static str, value: u64) {
-        self.records.entry(name).or_default().record(value);
+        self.histograms.entry(name).or_default().record(value);
     }
 
     /// The named log-scale histogram, if any samples were recorded.
     pub fn record_histogram(&self, name: &str) -> Option<&LogHistogram> {
-        self.records.get(name)
+        self.histograms.get(name)
     }
 
     /// All log-scale histograms, in name order.
     pub fn record_histograms(&self) -> impl Iterator<Item = (&'static str, &LogHistogram)> {
-        self.records.iter().map(|(&k, v)| (k, v))
+        self.histograms.iter().map(|(&k, v)| (k, v))
     }
 
     /// Appends a point to the named timeline.
@@ -337,8 +241,8 @@ impl Metrics {
         self.timelines.get(name)
     }
 
-    /// An FNV-1a digest over every counter, label, net field, histogram
-    /// sample and timeline point, in deterministic order. Two runs with the
+    /// An FNV-1a digest over every counter, label, net field, timeline
+    /// point and histogram bucket, in deterministic order. Two runs with the
     /// same seed must produce identical fingerprints — the determinism
     /// regression tests rely on this.
     pub fn fingerprint(&self) -> u64 {
@@ -368,12 +272,6 @@ impl Metrics {
         ] {
             eat(&v.to_le_bytes());
         }
-        for (k, hist) in &self.histograms {
-            eat(k.as_bytes());
-            for s in hist.samples() {
-                eat(&s.to_bits().to_le_bytes());
-            }
-        }
         for (k, tl) in &self.timelines {
             eat(k.as_bytes());
             for &(t, v) in tl.points() {
@@ -381,9 +279,7 @@ impl Metrics {
                 eat(&v.to_bits().to_le_bytes());
             }
         }
-        // Log-scale histograms fold last so a sink without any keeps the
-        // exact fingerprint it had before they existed.
-        for (k, lh) in &self.records {
+        for (k, lh) in &self.histograms {
             eat(k.as_bytes());
             for (upper, count) in lh.nonzero_buckets() {
                 eat(&upper.to_le_bytes());
@@ -399,30 +295,14 @@ impl Metrics {
     /// are in name order and the embedded [`Metrics::fingerprint`] lets
     /// consumers pair a snapshot with a run.
     pub fn snapshot(&self) -> MetricsSnapshot {
-        let mut histograms: Vec<HistogramSummary> = self
+        // Empty histograms are skipped — the zero-count guard that keeps
+        // every summary's min/quantiles meaningful. The map iterates in
+        // name order.
+        let histograms = self
             .histograms
             .iter()
-            .map(|(&name, h)| {
-                // `quantile` sorts lazily and needs `&mut`; summarize a
-                // clone so snapshots work from shared references.
-                let mut h = h.clone();
-                HistogramSummary {
-                    name: name.to_owned(),
-                    count: h.count() as u64,
-                    mean: h.mean(),
-                    min: h.min(),
-                    max: h.max(),
-                    p50: h.quantile(0.50),
-                    p90: h.quantile(0.90),
-                    p99: h.quantile(0.99),
-                }
-            })
-            .collect();
-        // Log-scale histograms export through the same summary shape.
-        // Empty ones are skipped — the zero-count guard that keeps every
-        // summary's min/quantiles meaningful.
-        histograms.extend(self.records.iter().filter(|(_, lh)| !lh.is_empty()).map(
-            |(&name, lh)| HistogramSummary {
+            .filter(|(_, lh)| !lh.is_empty())
+            .map(|(&name, lh)| HistogramSummary {
                 name: name.to_owned(),
                 count: lh.count(),
                 mean: lh.mean(),
@@ -431,9 +311,8 @@ impl Metrics {
                 p50: lh.quantile(0.50) as f64,
                 p90: lh.quantile(0.90) as f64,
                 p99: lh.quantile(0.99) as f64,
-            },
-        ));
-        histograms.sort_by(|a, b| a.name.cmp(&b.name));
+            })
+            .collect();
         MetricsSnapshot {
             counters: self.counters_with_prefix(""),
             labels: self
@@ -469,7 +348,7 @@ impl Metrics {
             counters: self.counters_with_prefix(""),
             gauges: Vec::new(),
             histograms: self
-                .records
+                .histograms
                 .iter()
                 .filter(|(_, lh)| !lh.is_empty())
                 .map(|(&k, lh)| (k.to_owned(), lh.clone()))
@@ -551,9 +430,10 @@ pub(crate) fn json_escape_into(out: &mut String, s: &str) {
     }
 }
 
-/// Formats an `f64` as a JSON number. Histogram/timeline values are finite
-/// by construction (NaN samples are rejected at quantile time); infinities
-/// would not be valid JSON, so they are clamped to the largest finite value.
+/// Formats an `f64` as a JSON number. Histogram summaries derive from
+/// integer samples and are always finite; a timeline total could still
+/// overflow, and infinities would not be valid JSON, so they are clamped to
+/// the largest finite value.
 fn json_f64(v: f64) -> String {
     if v.is_finite() {
         format!("{v}")
@@ -651,26 +531,26 @@ mod tests {
 
     #[test]
     fn histogram_quantiles_on_known_data() {
-        let mut h = Histogram::default();
-        for v in [5.0, 1.0, 3.0, 2.0, 4.0] {
-            h.observe(v);
+        let mut m = Metrics::new();
+        for v in [5, 1, 3, 2, 4] {
+            m.record("lat", v);
         }
+        let h = m.record_histogram("lat").expect("recorded");
         assert_eq!(h.count(), 5);
         assert_eq!(h.mean(), 3.0);
-        assert_eq!(h.min(), 1.0);
-        assert_eq!(h.max(), 5.0);
-        assert_eq!(h.quantile(0.0), 1.0);
-        assert_eq!(h.quantile(0.5), 3.0);
-        assert_eq!(h.quantile(1.0), 5.0);
+        assert_eq!((h.min(), h.max()), (Some(1), Some(5)));
+        assert_eq!(h.quantile(0.0), 1);
+        assert_eq!(h.quantile(0.5), 3);
+        assert_eq!(h.quantile(1.0), 5);
     }
 
     #[test]
     fn empty_histogram_is_all_zeroes() {
-        let mut h = Histogram::default();
+        assert!(Metrics::new().record_histogram("lat").is_none());
+        let h = LogHistogram::default();
         assert_eq!(h.mean(), 0.0);
-        assert_eq!(h.min(), 0.0);
-        assert_eq!(h.max(), 0.0);
-        assert_eq!(h.quantile(0.99), 0.0);
+        assert_eq!((h.min(), h.max()), (None, None));
+        assert_eq!(h.quantile(0.99), 0);
     }
 
     #[test]
@@ -757,7 +637,7 @@ mod tests {
             m.incr("app.commit", 1);
             m.incr_label("paxos.accept", 1);
             m.incr("net.sent", 1);
-            m.observe("lat", 3.0);
+            m.record("lat", 3);
             m.timeline_push("tl", SimTime::from_millis(1), 1.0);
             m
         };
@@ -774,7 +654,7 @@ mod tests {
         m.incr("net.sent", 1);
         assert_ne!(m.fingerprint(), reference, "net field change must show");
         let mut m = base();
-        m.observe("lat", 4.0);
+        m.record("lat", 4);
         assert_ne!(m.fingerprint(), reference, "histogram change must show");
         let mut m = base();
         m.timeline_push("tl", SimTime::from_millis(2), 1.0);
@@ -787,8 +667,8 @@ mod tests {
         m.incr("rsmr.applied", 3);
         m.incr("net.sent", 2);
         m.incr_label("paxos.accept", 4);
-        for v in [1.0, 2.0, 3.0] {
-            m.observe("lat_us", v);
+        for v in [1, 2, 3] {
+            m.record("lat_us", v);
         }
         m.timeline_push("rsmr.commits", SimTime::from_millis(5), 1.0);
         m.timeline_push("rsmr.commits", SimTime::from_millis(9), 2.0);
@@ -822,7 +702,7 @@ mod tests {
     fn record_histograms_flow_through_fingerprint_snapshot_and_export() {
         let mut m = Metrics::new();
         m.incr("rsmr.applied", 1);
-        m.observe("lat_us", 2.0);
+        m.record("lat_us", 2);
         let before = m.fingerprint();
         m.record("paxos.batch_size", 0); // a zero-valued sample still counts
         assert_ne!(m.fingerprint(), before, "record change must show");
@@ -840,9 +720,9 @@ mod tests {
 
         let export = m.export();
         assert_eq!(export.counters, vec![("rsmr.applied".into(), 1)]);
-        assert_eq!(export.histograms.len(), 1);
-        assert_eq!(export.histograms[0].0, "paxos.batch_size");
-        assert_eq!(export.histograms[0].1.count(), 2);
+        let names: Vec<&str> = export.histograms.iter().map(|(n, _)| n.as_str()).collect();
+        assert_eq!(names, vec!["lat_us", "paxos.batch_size"]);
+        assert_eq!(export.histograms[1].1.count(), 2);
     }
 
     #[test]

@@ -2,10 +2,10 @@
 //! API, and built-in consumers (digest, log, span aggregation).
 //!
 //! The simulator already exposes *aggregate* observability (counters,
-//! histograms, timelines in [`crate::Metrics`]) and a free-text bounded
-//! [`crate::Trace`]. This module adds the third leg: a **typed event
-//! stream**. The [`crate::Sim`] emits a [`SimEvent`] for every transport
-//! action (send, deliver, drop, timer fire, crash, restart), and protocol
+//! histograms, timelines in [`crate::Metrics`]). This module adds the
+//! second leg: a **typed event stream**. The [`crate::Sim`] emits a
+//! [`SimEvent`] for every transport action (send, deliver, drop, timer
+//! fire, crash, restart), and protocol
 //! actors emit [`DomainEvent`]s through [`crate::Context::emit_event`] at
 //! phase boundaries (epoch sealed, transfer served, command applied, ...).
 //!
@@ -298,9 +298,9 @@ const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 /// An order-sensitive FNV-1a digest of the event stream.
 ///
 /// Two runs with the same seed must produce the same digest — this is the
-/// event-stream analogue of [`crate::Metrics::fingerprint`] and
-/// [`crate::Trace::digest`], and is what the determinism tests compare
-/// between the serial and parallel experiment drivers.
+/// event-stream analogue of [`crate::Metrics::fingerprint`], and the run
+/// digest the determinism tests compare across same-seed runs and between
+/// the serial and parallel experiment drivers.
 #[derive(Clone, Debug)]
 pub struct EventDigest {
     hash: u64,

@@ -26,7 +26,6 @@ use crate::rng::SimRng;
 use crate::sim::NodeId;
 use crate::storage::StableStore;
 use crate::time::SimTime;
-use crate::trace::Trace;
 use crate::transport::{Clock, StorageBackend, Transport, TransportEvent};
 use crate::wire::{self, Wire};
 
@@ -73,7 +72,6 @@ pub struct NodeRuntime<A: Actor> {
     store: StableStore,
     rng: SimRng,
     metrics: Metrics,
-    trace: Trace,
     bus: EventBus,
     next_timer_id: u64,
     next_timer_seq: u64,
@@ -120,7 +118,6 @@ where
             store,
             rng: SimRng::seed_from_u64(cfg.seed ^ node.0),
             metrics: Metrics::new(),
-            trace: Trace::default(),
             bus: EventBus::new(),
             next_timer_id: 0,
             next_timer_seq: 0,
@@ -347,7 +344,6 @@ where
                 key_prefix: "",
                 metrics: &mut self.metrics,
                 next_timer_id: &mut self.next_timer_id,
-                trace: &mut self.trace,
                 bus: &mut self.bus,
             };
             f(&mut self.actor, &mut ctx);

@@ -228,7 +228,6 @@ impl<A: Actor> MultiGroup<A> {
                 key_prefix: scope,
                 metrics: &mut *ctx.metrics,
                 next_timer_id: &mut *ctx.next_timer_id,
-                trace: &mut *ctx.trace,
                 bus: &mut *ctx.bus,
             };
             f(actor, &mut inner_ctx);

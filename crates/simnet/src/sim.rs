@@ -11,7 +11,6 @@ use crate::observe::{DropReason, EventBus, Observer, SimEvent};
 use crate::rng::SimRng;
 use crate::storage::StableStore;
 use crate::time::{SimDuration, SimTime};
-use crate::trace::Trace;
 
 /// Identifies a node (server or client) in a simulation.
 #[derive(Copy, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -63,7 +62,6 @@ pub struct Sim<A: Actor> {
     rng: SimRng,
     net: NetworkState,
     metrics: Metrics,
-    trace: Trace,
     next_timer_id: u64,
     next_node_id: u64,
     // Reused across callbacks so the per-event emit collection never
@@ -83,7 +81,6 @@ impl<A: Actor> Sim<A> {
             rng: SimRng::seed_from_u64(seed),
             net: NetworkState::new(net),
             metrics: Metrics::new(),
-            trace: Trace::default(),
             next_timer_id: 0,
             next_node_id: 0,
             emit_scratch: Vec::new(),
@@ -277,16 +274,6 @@ impl<A: Actor> Sim<A> {
         std::mem::take(&mut self.metrics)
     }
 
-    /// The simulation trace.
-    pub fn trace(&self) -> &Trace {
-        &self.trace
-    }
-
-    /// Enables trace recording (off by default).
-    pub fn enable_trace(&mut self) {
-        self.trace.set_enabled(true);
-    }
-
     /// The simulation's RNG, for harness-level randomness that must stay
     /// deterministic.
     pub fn rng_mut(&mut self) -> &mut SimRng {
@@ -421,7 +408,6 @@ impl<A: Actor> Sim<A> {
                 key_prefix: "",
                 metrics: &mut self.metrics,
                 next_timer_id: &mut self.next_timer_id,
-                trace: &mut self.trace,
                 bus: &mut self.bus,
             };
             f(actor, &mut ctx);
@@ -827,7 +813,7 @@ mod tests {
     #[test]
     fn uninstalled_observers_change_nothing() {
         // Identical runs with and without an observer installed: metrics and
-        // trace must match exactly — observation is read-only.
+        // the clock must match exactly — observation is read-only.
         let run = |observe: bool| {
             let mut sim: Sim<TestActor> = Sim::new(11, NetConfig::lossy(0.1));
             if observe {
