@@ -17,8 +17,9 @@
 //! (concurrent sends queue — see `NetConfig::with_egress_queueing`),
 //! while client access stays on the uncapped local segment. Unbatched,
 //! every command costs the leader two `Accept`s plus two `Chosen`
-//! broadcasts (~208 bytes of framing on top of the ~50-byte command);
-//! batched, that framing is shared by up to `max_batch` commands.
+//! broadcasts, each carrying the ~50-byte command in full (~300 bytes of
+//! framing plus command); batched, the framing is shared by up to
+//! `max_batch` commands.
 //!
 //! Every row runs the *same* composed system at the same fabric cap with
 //! the same client fleet — only the batching knobs
@@ -192,8 +193,9 @@ pub fn run_structured(quick: bool) -> ExpOutput {
     let mut out = table.render();
     out.push_str(
         "Shape expected: with the replication fabric capped and egress \
-         serialized, the unbatched leader spends ~208 bytes of framing \
-         (`Accept` ×2 + `Chosen` ×2) per command, so throughput saturates \
+         serialized, the unbatched leader spends ~300 bytes of framing \
+         plus command (`Accept` ×2 + `Chosen` ×2, each carrying the \
+         command in full) per command, so throughput saturates \
          near cap ÷ framing while closed-loop clients queue (fat p50). \
          Batching amortizes that framing across `max_batch` commands per \
          slot — throughput recovers an order of magnitude at the same cap \

@@ -397,9 +397,16 @@ impl<S: StorageBackend> StorageBackend for FaultyStorage<S> {
 /// create/rename pair. [`StorageBackend::sync`] flushes the batch to the
 /// OS (and, with `fsync`, to the device). [`StorageBackend::load`]
 /// replays snapshot then log, tolerating a torn tail record from a crash
-/// mid-append, and folds the result into a fresh snapshot. When the log
-/// outgrows [`FileStorage::COMPACT_SLACK`] it is folded during a sync
-/// instead of waiting for the next boot.
+/// mid-append, and folds the result into a fresh snapshot.
+///
+/// Between boots the store counts its garbage: the bytes on disk (snapshot
+/// plus log) that no longer encode the current state because a later
+/// record overwrote or deleted them. A sync folds the log into a fresh
+/// snapshot only once that garbage outweighs both the live state and
+/// [`FileStorage::COMPACT_SLACK`]. Disk use and boot-time replay therefore
+/// stay within `2 × live + COMPACT_SLACK`, each appended byte pays O(1)
+/// amortised compaction work, and growing a write-once log (an epoch's
+/// consensus log before it retires) never by itself triggers a rewrite.
 ///
 /// Exactly one live handle may own a directory: two appenders would
 /// interleave their logs. The runtime enforces this by construction (one
@@ -408,6 +415,11 @@ pub struct FileStorage {
     dir: PathBuf,
     wal: io::BufWriter<std::fs::File>,
     wal_bytes: u64,
+    /// Size of the snapshot file as the last compaction wrote it.
+    snapshot_bytes: u64,
+    /// Encoded size of the mirror's records: exactly what a compaction
+    /// would write. `snapshot_bytes + wal_bytes - live_bytes` is garbage.
+    live_bytes: u64,
     /// Full current state, mirrored so compaction can rewrite the
     /// snapshot without consulting the runtime's store.
     mirror: StableStore,
@@ -447,6 +459,10 @@ struct StorageStats {
     /// snapshot). Registered eagerly so the series exposes as `0` on a
     /// healthy node instead of being absent.
     wal_corrupt_records: Counter,
+    /// Encoded size of the current state (what a compaction writes).
+    live_bytes: Gauge,
+    /// Snapshot plus WAL bytes on disk; stays ≤ 2 × live + slack.
+    log_bytes: Gauge,
     /// Batches deferred so far in the current window.
     window_syncs: u64,
 }
@@ -459,6 +475,8 @@ impl StorageStats {
             compaction_us: registry.histogram("storage.compaction_us"),
             group_commit_fill: registry.histogram("storage.group_commit_fill"),
             wal_corrupt_records: registry.counter("storage.wal_corrupt_records"),
+            live_bytes: registry.gauge("storage.live_bytes"),
+            log_bytes: registry.gauge("storage.log_bytes"),
             window_syncs: 0,
         }
     }
@@ -468,7 +486,8 @@ const WAL_PUT: u8 = 1;
 const WAL_DEL: u8 = 2;
 
 impl FileStorage {
-    /// Fold the log into the snapshot once it exceeds this many bytes.
+    /// Garbage floor: a sync folds the log into the snapshot only once the
+    /// garbage on disk exceeds both this many bytes and the live state.
     pub const COMPACT_SLACK: u64 = 4 << 20;
 
     /// Opens (creating if needed) the storage directory.
@@ -485,6 +504,8 @@ impl FileStorage {
             dir,
             wal: io::BufWriter::new(wal),
             wal_bytes,
+            snapshot_bytes: 0,
+            live_bytes: 0,
             mirror: StableStore::new(),
             loaded: false,
             fsync,
@@ -532,6 +553,11 @@ impl FileStorage {
     /// The storage directory.
     pub fn dir(&self) -> &std::path::Path {
         &self.dir
+    }
+
+    /// Encoded length of a put record: tag, two length prefixes and CRC.
+    fn put_record_len(key: &str, value: &[u8]) -> u64 {
+        (key.len() + value.len() + 13) as u64
     }
 
     fn encode_record(buf: &mut Vec<u8>, key: &str, value: Option<&[u8]>) {
@@ -646,6 +672,8 @@ impl FileStorage {
         // log; replaying it again is a no-op fold.
         self.wal = io::BufWriter::new(std::fs::File::create(self.dir.join("wal"))?);
         self.wal_bytes = 0;
+        self.snapshot_bytes = buf.len() as u64;
+        self.live_bytes = self.snapshot_bytes;
         if self.fsync {
             std::fs::File::open(&self.dir)?.sync_all()?;
         }
@@ -655,6 +683,18 @@ impl FileStorage {
             s.compaction_us.record(started.elapsed().as_micros() as u64);
         }
         Ok(())
+    }
+
+    /// Bytes on disk that no longer encode the current state.
+    fn garbage_bytes(&self) -> u64 {
+        (self.snapshot_bytes + self.wal_bytes).saturating_sub(self.live_bytes)
+    }
+
+    fn publish_sizes(&self) {
+        if let Some(s) = &self.stats {
+            s.live_bytes.set(self.live_bytes);
+            s.log_bytes.set(self.snapshot_bytes + self.wal_bytes);
+        }
     }
 }
 
@@ -679,6 +719,7 @@ impl StorageBackend for FileStorage {
         self.mirror = store.clone();
         self.loaded = true;
         self.compact()?;
+        self.publish_sizes();
         Ok(store)
     }
 
@@ -690,8 +731,15 @@ impl StorageBackend for FileStorage {
         if let Some(s) = &self.stats {
             s.wal_append_bytes.record(buf.len() as u64);
         }
+        // The record this one supersedes turns into garbage.
+        if let Some(old) = self.mirror.get(key) {
+            self.live_bytes -= Self::put_record_len(key, old);
+        }
         match value {
-            Some(v) => self.mirror.put(key, v.to_vec()),
+            Some(v) => {
+                self.live_bytes += Self::put_record_len(key, v);
+                self.mirror.put(key, v.to_vec());
+            }
             None => {
                 self.mirror.remove(key);
             }
@@ -728,9 +776,10 @@ impl StorageBackend for FileStorage {
                 }
             }
         }
-        if self.loaded && self.wal_bytes > Self::COMPACT_SLACK {
+        if self.loaded && self.garbage_bytes() > self.live_bytes.max(Self::COMPACT_SLACK) {
             self.compact()?;
         }
+        self.publish_sizes();
         Ok(())
     }
 }
@@ -2031,6 +2080,152 @@ mod tests {
         assert_eq!(once.get("gone"), None);
         assert_eq!(twice.get("k"), once.get("k"));
         assert_eq!(twice.len(), once.len());
+    }
+
+    /// Encoded size of `store` as a snapshot: what `compact()` writes.
+    fn encoded_size(store: &StableStore) -> u64 {
+        let mut buf = Vec::new();
+        for (key, value) in store.entries() {
+            FileStorage::encode_record(&mut buf, key, Some(value));
+        }
+        buf.len() as u64
+    }
+
+    fn compactions(registry: &Registry) -> u64 {
+        registry
+            .snapshot()
+            .histograms
+            .iter()
+            .find(|(n, _)| n == "storage.compaction_us")
+            .map_or(0, |(_, h)| h.count())
+    }
+
+    #[test]
+    fn write_once_logs_never_compact_between_boots() {
+        // An epoch's consensus log appends one record per slot and never
+        // overwrites: all of it is live, so none of it is worth folding,
+        // however far the log grows past the slack.
+        let dir = std::env::temp_dir().join(format!("rsmr-wonce-test-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let registry = Registry::new();
+        let mut fs = FileStorage::open(&dir, false)
+            .unwrap()
+            .with_telemetry(&registry);
+        fs.load().unwrap();
+        assert_eq!(compactions(&registry), 1, "load() folds once at boot");
+        let value = vec![0xA5u8; 1024];
+        let (mut slot, mut appended) = (0u64, 0);
+        while appended <= 3 * FileStorage::COMPACT_SLACK {
+            for _ in 0..16 {
+                let key = format!("px/1/acc/{slot:08}");
+                fs.apply(&key, Some(&value)).unwrap();
+                appended += FileStorage::put_record_len(&key, &value);
+                slot += 1;
+            }
+            fs.sync().unwrap();
+        }
+        assert_eq!(compactions(&registry), 1, "fresh appends are never garbage");
+        assert_eq!(fs.garbage_bytes(), 0);
+        let written = fs.mirror.clone();
+        drop(fs);
+        let mut reopened = FileStorage::open(&dir, false).unwrap();
+        let store = reopened.load().unwrap();
+        assert_eq!(reopened.corrupt_records(), 0);
+        assert_eq!(store.len() as u64, slot);
+        assert!(store.entries().eq(written.entries()));
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn churn_keeps_the_log_within_twice_live_plus_slack() {
+        // Overwrite/delete-heavy stream, first with a live set under the
+        // slack floor, then with one above it so the live-proportional
+        // threshold governs. After every sync, disk use honours the bound;
+        // over the run, compaction rewrites no more than was appended.
+        let dir = std::env::temp_dir().join(format!("rsmr-churn-test-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let registry = Registry::new();
+        let mut rng = crate::rng::SimRng::seed_from_u64(0xC0FFEE);
+        let mut fs = FileStorage::open(&dir, false)
+            .unwrap()
+            .with_telemetry(&registry);
+        fs.load().unwrap();
+        let slack = FileStorage::COMPACT_SLACK;
+        let (mut max_live, mut written, mut rewritten) = (0, 0, 0);
+        for (keys, ops) in [(256u64, 6_000), (6_000, 16_000)] {
+            for _ in 0..ops {
+                let key = format!("k/{:05}", rng.gen_range(0..keys));
+                let wal_before = fs.wal_bytes;
+                if rng.gen_bool(0.2) {
+                    fs.apply(&key, None).unwrap();
+                } else {
+                    let value = vec![rng.next_u64() as u8; rng.gen_range(512..2048usize)];
+                    fs.apply(&key, Some(&value)).unwrap();
+                }
+                written += fs.wal_bytes - wal_before;
+                if rng.gen_bool(0.25) {
+                    fs.sync().unwrap();
+                    if fs.wal_bytes == 0 {
+                        rewritten += fs.snapshot_bytes; // this sync compacted
+                    }
+                    let on_disk = fs.snapshot_bytes + fs.wal_bytes;
+                    assert!(
+                        on_disk <= 2 * fs.live_bytes + slack,
+                        "{on_disk} B on disk for {} B live",
+                        fs.live_bytes
+                    );
+                }
+                max_live = max_live.max(fs.live_bytes);
+            }
+        }
+        fs.sync().unwrap();
+        assert!(max_live > slack, "the second phase outgrew the floor");
+        let folds = compactions(&registry) - 1; // minus the one in load()
+        assert!(folds >= 3, "the churn left garbage to fold in both phases");
+        assert!(
+            folds <= 2 * written / slack,
+            "{folds} folds for {written} B"
+        );
+        assert!(
+            rewritten <= written,
+            "{rewritten} B rewritten for {written} B"
+        );
+        // The counters describe the files, and the gauges the counters.
+        let len = |name: &str| std::fs::metadata(dir.join(name)).unwrap().len();
+        assert_eq!(len("snapshot"), fs.snapshot_bytes);
+        assert_eq!(len("wal"), fs.wal_bytes);
+        let gauges = registry.snapshot().gauges;
+        let gauge = |name: &str| gauges.iter().find(|(n, _)| n == name).unwrap().1;
+        assert_eq!(gauge("storage.live_bytes"), fs.live_bytes);
+        assert_eq!(gauge("storage.log_bytes"), len("snapshot") + len("wal"));
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn live_bytes_tracks_the_mirror_through_churn_and_reload() {
+        let dir = std::env::temp_dir().join(format!("rsmr-live-test-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let mut rng = crate::rng::SimRng::seed_from_u64(0x11FE);
+        let mut fs = FileStorage::open(&dir, false).unwrap();
+        fs.load().unwrap();
+        for _ in 0..4 {
+            for _ in 0..500 {
+                let key = format!("k{}", rng.gen_range(0..64u64));
+                let value = rng
+                    .gen_bool(0.7)
+                    .then(|| vec![7u8; rng.gen_range(0..300usize)]);
+                fs.apply(&key, value.as_deref()).unwrap();
+                assert_eq!(fs.live_bytes, encoded_size(&fs.mirror));
+            }
+            fs.sync().unwrap();
+            drop(fs);
+            fs = FileStorage::open(&dir, false).unwrap();
+            let store = fs.load().unwrap();
+            assert_eq!(fs.live_bytes, encoded_size(&store));
+            assert_eq!(fs.snapshot_bytes, fs.live_bytes, "load() folded everything");
+        }
+        drop(fs);
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
